@@ -26,7 +26,7 @@ func main() {
 	var (
 		quick   = flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 		only    = flag.String("only", "", "run a single experiment (comma-separated list), e.g. fig11,table2")
-		solverW = flag.Int("solver-workers", 0, "per-solve branch-and-bound workers (0 = auto)")
+		solverW = flag.Int("solver-workers", 0, "per-solve branch-and-bound workers (0 = sequential)")
 	)
 	flag.Parse()
 	if *solverW < 0 {

@@ -47,7 +47,7 @@ func runOneShot() {
 		inference   = flag.Bool("inference", false, "search the inference variant (no backward blocks)")
 		maxNR       = flag.Int("max-nr", 0, "cap on repetend micro-batches (0 = memory-derived)")
 		timeout     = flag.Duration("solver-timeout", 10*time.Second, "per-solve wall-clock budget")
-		solverWkrs  = flag.Int("solver-workers", 0, "per-solve branch-and-bound workers (0 = auto)")
+		solverWkrs  = flag.Int("solver-workers", 0, "per-solve branch-and-bound workers (0 = sequential)")
 		width       = flag.Int("width", 120, "chart width in columns")
 		quiet       = flag.Bool("quiet", false, "suppress the Gantt chart")
 		saveFile    = flag.String("save", "", "write the searched schedule as JSON")

@@ -87,8 +87,9 @@ type searchRequestOptions struct {
 	SolverNodes     int64 `json:"solver_nodes"`
 	SolverTimeoutMS int64 `json:"solver_timeout_ms"`
 	// SolverWorkers is the per-solve branch-and-bound worker count: ≥ 1
-	// pins it, 0 forces auto, absent uses the server's -solver-workers
-	// default. Negative values are rejected.
+	// runs the deterministic root-split search with that many workers,
+	// 0 = sequential (the single-threaded search), absent uses the
+	// server's -solver-workers default. Negative values are rejected.
 	SolverWorkers      *int `json:"solver_workers"`
 	DisableLazy        bool `json:"disable_lazy"`
 	SimpleCompaction   bool `json:"simple_compaction"`
@@ -170,7 +171,7 @@ type server struct {
 	searchTimeout time.Duration // per-request deadline
 	solverTimeout time.Duration // default per-solve budget
 	maxN          int           // cap on requested micro-batches
-	solverWorkers int           // default per-solve worker count (0 = auto)
+	solverWorkers int           // default per-solve worker count (0 = sequential)
 	snapshotPath  string        // cache snapshot file ("" = persistence off)
 	// peerClient is the multi-replica cache tier (nil = single replica).
 	peerClient *tessel.PeerClient
@@ -225,7 +226,7 @@ func runServe(args []string) {
 		degradedNodes = fs.Int64("degraded-solver-nodes", 0, "per-solve node cap of allow_degraded searches (0 = default)")
 		snapshotPath  = fs.String("snapshot", "", "cache snapshot file, restored at boot and written on SIGTERM and periodically (\"\" = off)")
 		snapshotEvery = fs.Duration("snapshot-interval", 5*time.Minute, "period between cache snapshots when -snapshot is set")
-		solverWorkers = fs.Int("solver-workers", 0, "default per-solve branch-and-bound workers when the request sets none (0 = auto)")
+		solverWorkers = fs.Int("solver-workers", 0, "default per-solve branch-and-bound workers when the request sets none (0 = sequential)")
 
 		peers           = fs.String("peers", "", "comma-separated replica addresses forming the consistent-hash peer ring; identical on every replica and must include -peer-self (\"\" = single replica)")
 		peerSelf        = fs.String("peer-self", "", "this replica's own address exactly as it appears in -peers")
@@ -611,8 +612,8 @@ type serveStatsJSON struct {
 	// Ready mirrors /readyz: false until the snapshot restore finished.
 	Ready bool `json:"ready"`
 	// SolverWorkers is the configured per-solve worker default;
-	// SolverWorkersEffective is what it resolves to for a parallel-eligible
-	// solve on this machine (0 = serial).
+	// SolverWorkersEffective is the worker count it resolves to
+	// (0 = sequential, the default).
 	SolverWorkers          int `json:"solver_workers"`
 	SolverWorkersEffective int `json:"solver_workers_effective"`
 }
@@ -645,7 +646,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Entries:                st.Entries,
 		Ready:                  s.ready.Load(),
 		SolverWorkers:          s.solverWorkers,
-		SolverWorkersEffective: tessel.ResolveSolverWorkers(s.solverWorkers, tessel.ParallelSolveTaskThreshold),
+		SolverWorkersEffective: tessel.ResolveSolverWorkers(s.solverWorkers),
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -256,6 +257,79 @@ func TestServeSolverWorkers(t *testing.T) {
 	}
 	if _, ok := stats["solver_workers_effective"]; !ok {
 		t.Fatal("/v1/stats missing solver_workers_effective")
+	}
+}
+
+// TestServeSolverWorkersDefaultSequential pins the serving contract of the
+// per-solve worker setting on a multi-core process: the default
+// -solver-workers 0 resolves to the single-threaded solver
+// (solver_workers_effective 0, no shared-tier hits), an explicit
+// "solver_workers": 2 still runs the root-split search and returns the
+// same schedule bytes as "solver_workers": 1, and negative values are 400.
+func TestServeSolverWorkersDefaultSequential(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	p, err := tessel.NewVShape(tessel.ShapeConfig{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var placement bytes.Buffer
+	if err := tessel.EncodePlacement(&placement, p); err != nil {
+		t.Fatal(err)
+	}
+	post := func(s *server, options map[string]any) (int, searchResponse) {
+		t.Helper()
+		body, err := json.Marshal(map[string]any{"placement": json.RawMessage(placement.Bytes()), "options": options})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := postSearch(t, s, string(body))
+		var resp searchResponse
+		if w.Code == 200 {
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w.Code, resp
+	}
+
+	s := newTestServer(t)
+	rec := httptest.NewRecorder()
+	s.mux().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+	var st serveStatsJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.SolverWorkers != 0 || st.SolverWorkersEffective != 0 {
+		t.Fatalf("/v1/stats solver_workers %d, effective %d; want 0 and 0 under the default flags",
+			st.SolverWorkers, st.SolverWorkersEffective)
+	}
+	code, def := post(s, map[string]any{"n": 4})
+	if code != 200 {
+		t.Fatalf("default request status %d", code)
+	}
+	if def.Stats.SolverWorkers != 0 || def.Stats.SharedMemoHits != 0 || def.Stats.JobsStolen != 0 {
+		t.Fatalf("default request ran the root split: %+v", def.Stats)
+	}
+	if code, _ := post(s, map[string]any{"n": 4, "solver_workers": -1}); code != 400 {
+		t.Fatalf("negative solver_workers status %d, want 400", code)
+	}
+
+	// Fresh servers, so neither explicit answer is the other's cache hit.
+	code, two := post(newTestServer(t), map[string]any{"n": 4, "solver_workers": 2})
+	if code != 200 {
+		t.Fatalf("solver_workers=2 status %d", code)
+	}
+	if two.Stats.SolverWorkers != 2 || two.Stats.SharedMemoHits == 0 {
+		t.Fatalf("solver_workers=2 did not run the root split: %+v", two.Stats)
+	}
+	code, one := post(newTestServer(t), map[string]any{"n": 4, "solver_workers": 1})
+	if code != 200 {
+		t.Fatalf("solver_workers=1 status %d", code)
+	}
+	if !bytes.Equal(two.Schedule, one.Schedule) {
+		t.Fatalf("solver_workers 2 and 1 returned different schedules:\n%s\n%s", two.Schedule, one.Schedule)
 	}
 }
 

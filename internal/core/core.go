@@ -87,13 +87,14 @@ type Options struct {
 	// enumeration order and breaks period ties by the canonically smallest
 	// assignment — so Workers only trades wall-clock time for CPU.
 	Workers int
-	// SolverWorkers requests parallel branch-and-bound *inside* each exact
+	// SolverWorkers selects the branch-and-bound engine *inside* each exact
 	// solve (instance makespan, completion phases, time-optimal baseline):
-	// ≥ 1 fixes the per-solve worker count, 0 lets the solver decide per
-	// solve (parallel only for large task systems on multi-core machines),
-	// negative forces single-threaded search. Orthogonal to Workers, which
-	// parallelizes *across* assignments. Results are byte-identical for
-	// every explicit count ≥ 1; see solver.ResolveWorkers.
+	// ≥ 1 runs the deterministic root-split search with that many workers,
+	// 0 (the default) and negative run the single-threaded search, which
+	// is the faster engine on every instance size and core count measured.
+	// Orthogonal to Workers, which parallelizes *across* assignments.
+	// Results are byte-identical for every explicit count ≥ 1; see
+	// solver.ResolveWorkers.
 	SolverWorkers int
 }
 
@@ -160,8 +161,7 @@ type Stats struct {
 	NRSwept int
 	// SolverWorkers is the effective per-solve branch-and-bound worker
 	// count the repetend instance solves ran with (0 = single-threaded) —
-	// Options.SolverWorkers after solver.ResolveWorkers applied the
-	// task-count and core-count auto rule.
+	// Options.SolverWorkers after solver.ResolveWorkers.
 	SolverWorkers int
 	// Phase breaks the search time down by phase.
 	Phase PhaseDurations
@@ -292,7 +292,7 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 		PeriodPool:         repetend.NewPeriodPool(),
 		Cache:              repetend.NewSolveCache(),
 	}
-	res.Stats.SolverWorkers = solver.ResolveWorkers(opts.SolverWorkers, p.K())
+	res.Stats.SolverWorkers = solver.ResolveWorkers(opts.SolverWorkers)
 
 	for nr := 1; nr <= maxNR; nr++ {
 		res.Stats.NRSwept = nr
@@ -718,9 +718,8 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 // phaseFeasible reports whether the blocks admit a valid phase schedule.
 // truncated is true when the verdict was reached after a solver budget ran
 // out, so a false answer is budget-degraded rather than proven. workers is
-// the *requested* per-solve worker count, resolved here against the phase's
-// task count (satisfiability solves stay single-threaded inside the solver
-// regardless).
+// the *requested* per-solve worker count, resolved here (satisfiability
+// solves stay single-threaded inside the solver regardless).
 func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block, initMem, deviceReady []int, opts solver.Options, workers int, pool *solver.Pool) (ok, truncated bool, err error) {
 	if len(blocks) == 0 {
 		return true, false, nil
@@ -731,7 +730,7 @@ func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block
 	}
 	opts.InitialMem = initMem
 	opts.DeviceReady = deviceReady
-	opts.Workers = solver.ResolveWorkers(workers, len(tasks))
+	opts.Workers = solver.ResolveWorkers(workers)
 	res, err := pool.Solve(ctx, tasks, opts)
 	if err != nil {
 		return false, false, err
@@ -901,7 +900,7 @@ func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, r
 		DeviceReady: deviceReady,
 		MaxNodes:    opts.SolverNodes,
 		Timeout:     opts.SolverTimeout,
-		Workers:     solver.ResolveWorkers(opts.SolverWorkers, len(tasks)),
+		Workers:     solver.ResolveWorkers(opts.SolverWorkers),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -943,7 +942,7 @@ func TimeOptimal(ctx context.Context, p *sched.Placement, n int, opts Options) (
 		Memory:     opts.Memory,
 		MaxNodes:   opts.SolverNodes,
 		Timeout:    opts.SolverTimeout,
-		Workers:    solver.ResolveWorkers(opts.SolverWorkers, len(tasks)),
+		Workers:    solver.ResolveWorkers(opts.SolverWorkers),
 	})
 	if err != nil {
 		return nil, res, err

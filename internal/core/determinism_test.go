@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tessel/internal/sched"
@@ -178,6 +179,42 @@ func TestSearchSolverCountersAcrossWorkers(t *testing.T) {
 				res.Stats.SolverSharedMemoHits, base.Stats.SolverSharedMemoHits,
 				res.Stats.SolverJobsStolen, base.Stats.SolverJobsStolen)
 		}
+	}
+}
+
+// TestTimeOptimalDefaultRunsSequential pins the default engine of the
+// largest exact solve the service runs: the 48-task whole-problem solve for
+// m-shape on 4 devices at N = 4 (N < N_R, so serving falls back to it). On
+// a multi-core process the default SolverWorkers must still run the
+// single-threaded search — no shared-tier hits, no stolen jobs, and the
+// same node count and schedule bytes as an explicit sequential request.
+// The sequential solver's counters repeat exactly, so Nodes gates solver
+// effort deterministically.
+func TestTimeOptimalDefaultRunsSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	p := shape(t, "m-shape", 4)
+	solve := func(workers int) (*sched.Schedule, int64) {
+		t.Helper()
+		s, res, err := TimeOptimal(context.Background(), p, 4, Options{SolverNodes: 2_000_000, SolverWorkers: workers})
+		if err != nil {
+			t.Fatalf("solver workers=%d: %v", workers, err)
+		}
+		if !res.Optimal || res.Makespan != 45 {
+			t.Fatalf("solver workers=%d: optimal=%t makespan=%d, want optimal 45", workers, res.Optimal, res.Makespan)
+		}
+		if res.SharedMemoHits != 0 || res.JobsStolen != 0 {
+			t.Fatalf("solver workers=%d ran the root split: shared memo hits %d, jobs stolen %d",
+				workers, res.SharedMemoHits, res.JobsStolen)
+		}
+		return s, res.Nodes
+	}
+	def, defNodes := solve(0)
+	seq, seqNodes := solve(-1)
+	if defNodes != seqNodes {
+		t.Fatalf("default solve expanded %d nodes, sequential %d", defNodes, seqNodes)
+	}
+	if got, want := sched.FingerprintSchedule(def), sched.FingerprintSchedule(seq); got != want {
+		t.Fatalf("default schedule %s differs from sequential %s", got, want)
 	}
 }
 

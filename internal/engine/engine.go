@@ -618,10 +618,11 @@ func requestKey(fingerprint string, p *sched.Placement, opts core.Options) strin
 	}
 	// SolverWorkers is keyed by *class*, not value: every explicit count ≥ 1
 	// runs the deterministic root-split search and returns byte-identical
-	// schedules, so W=2 and W=8 must share an entry. Auto (0) resolves per
-	// solve on this machine — possibly to the single-threaded engine, whose
-	// equally-optimal schedule choice may differ from the root-split's — so
-	// it gets its own class rather than aliasing with either.
+	// schedules, so W=2 and W=8 must share an entry. Auto (0) runs the
+	// single-threaded engine on every machine, whose equally-optimal
+	// schedule choice may differ from the root-split's, so it keeps its own
+	// class. The class names are part of the snapshot format: entries
+	// written under "auto" and "par" restore unchanged.
 	sw := "auto"
 	if opts.SolverWorkers >= 1 {
 		sw = "par"

@@ -149,9 +149,9 @@ func TestOptionNormalization(t *testing.T) {
 
 // TestSolverWorkersKeyClass: every explicit per-solve worker count runs the
 // deterministic root-split search and returns byte-identical schedules, so
-// W=2 and W=8 must share one cache entry; the auto setting may resolve to a
-// different engine (whose equally-optimal schedule choice can differ) and
-// must not alias with the explicit class. Negative counts are a caller bug
+// W=2 and W=8 must share one cache entry; the auto setting runs the
+// single-threaded engine (whose equally-optimal schedule choice can differ)
+// and must not alias with the explicit class. Negative counts are a caller bug
 // and are rejected up front as invalid requests.
 func TestSolverWorkersKeyClass(t *testing.T) {
 	e := New(Options{})

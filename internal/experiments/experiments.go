@@ -25,9 +25,9 @@ type Mode struct {
 	// Quick trims sweeps (fewer micro-batch points, lower NR caps).
 	Quick bool
 	// SolverWorkers is the per-solve branch-and-bound worker count every
-	// search in the suite runs with: ≥ 1 pins it, 0 resolves per solve
-	// (parallel only for large instances on multi-core machines). The
-	// measured schedules are identical for every explicit count ≥ 1.
+	// search in the suite runs with: ≥ 1 runs the root-split search with
+	// that many workers, 0 runs the single-threaded search. The measured
+	// schedules are identical for every explicit count ≥ 1.
 	SolverWorkers int
 }
 

@@ -253,12 +253,11 @@ type SolveOptions struct {
 	// SolverNodes / SolverTimeout bound the instance makespan solve.
 	SolverNodes   int64
 	SolverTimeout time.Duration
-	// SolverWorkers requests parallel branch-and-bound for the instance
-	// makespan solve: ≥ 1 fixes the worker count, 0 lets the solver decide
-	// per instance (parallel only for large task systems on multi-core
-	// machines), negative forces single-threaded search. The schedule is
-	// byte-identical for every explicit worker count ≥ 1 (solver.Options.
-	// Workers); see solver.ResolveWorkers for the auto rule.
+	// SolverWorkers selects the engine of the instance makespan solve: ≥ 1
+	// runs the root-split search with that many workers, 0 and negative
+	// run the single-threaded search. The schedule is byte-identical for
+	// every explicit worker count ≥ 1 (solver.Options.Workers); see
+	// solver.ResolveWorkers.
 	SolverWorkers int
 	// SimpleCompaction evaluates the repetend with Figure 6(a) semantics
 	// (ablation); default is tight compaction.
@@ -487,7 +486,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 			InitialMem: entry,
 			MaxNodes:   opts.SolverNodes,
 			Timeout:    opts.SolverTimeout,
-			Workers:    solver.ResolveWorkers(opts.SolverWorkers, p.K()),
+			Workers:    solver.ResolveWorkers(opts.SolverWorkers),
 		}
 		if bounded {
 			// Under Figure 6(a) semantics the period *is* the instance

@@ -94,7 +94,6 @@ package solver
 // worker ran which job.
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -102,18 +101,6 @@ import (
 )
 
 const (
-	// DefaultParallelTaskThreshold is the instance size (task count) from
-	// which ResolveWorkers' auto setting turns on per-solve parallelism.
-	// Below it the fan-out overhead (per-worker graph rebuild, prefix
-	// expansion) outweighs the subtree concurrency; sweep-sized instance
-	// solves stay sequential so the repetend sweep's outer parallelism and
-	// the solver's inner parallelism compose instead of oversubscribing.
-	DefaultParallelTaskThreshold = 40
-	// DefaultMaxAutoWorkers caps auto-resolved per-solve workers: beyond it
-	// the root split runs out of comparably-sized subtrees before it runs
-	// out of cores.
-	DefaultMaxAutoWorkers = 8
-
 	// parallelTargetJobs is the job count the split-depth rule aims for —
 	// enough surplus over any worker count for dynamic load balance.
 	parallelTargetJobs = 64
@@ -159,35 +146,17 @@ const (
 var splitNodeCap int64 = 1 << 14
 
 // ResolveWorkers maps a caller-facing worker setting to solver
-// Options.Workers for an instance of nTasks tasks. An explicit request
-// (requested ≥ 1) is honored as-is and pins the schedule bytes
-// machine-independently (they are identical for every explicit value).
-// The auto setting (0) enables parallelism — min(GOMAXPROCS,
-// DefaultMaxAutoWorkers) workers — only when the instance has at least
-// DefaultParallelTaskThreshold tasks and the machine has at least two
-// cores: the root split trades total nodes for latency (each job rebuilds
-// the dominance knowledge its private memo cannot share), so on a single
-// core the sequential search is strictly faster and auto picks it. Auto
-// consequently selects between the two search engines by machine, and
-// their equally-optimal schedule *choice* may differ — each solve's
-// optimal makespan, feasibility and optimality verdicts never do, though
-// a caller composing several solves (e.g. a pipeline completion built
-// around phase schedules) can see the choice echo in its composed result.
-// Callers that need bytes pinned across machines pass an explicit worker
-// count. Negative values resolve to 0 (the sequential path).
-func ResolveWorkers(requested, nTasks int) int {
+// Options.Workers. An explicit request (requested ≥ 1) is honored as-is
+// and runs the deterministic root-split search, whose schedule bytes are
+// identical for every explicit value on every machine. Zero (the default)
+// and negative values resolve to 0, the single-threaded search: it is the
+// faster engine on every instance the service solves — on the 48-task
+// m-shape whole-problem solve the root split expands 3.4× the nodes and
+// takes about twice the wall time on two cores — so no machine or
+// instance size turns the split search on implicitly.
+func ResolveWorkers(requested int) int {
 	if requested >= 1 {
 		return requested
-	}
-	if requested == 0 && nTasks >= DefaultParallelTaskThreshold {
-		w := runtime.GOMAXPROCS(0)
-		if w < 2 {
-			return 0
-		}
-		if w > DefaultMaxAutoWorkers {
-			w = DefaultMaxAutoWorkers
-		}
-		return w
 	}
 	return 0
 }

@@ -242,35 +242,20 @@ func TestParallelSatisfyOnlySingleThreaded(t *testing.T) {
 	}
 }
 
-// TestResolveWorkers pins the auto-resolution rule: explicit requests are
-// honored verbatim, auto engages only for large instances on multi-core
-// machines, and negatives force single-threaded search.
+// TestResolveWorkers pins the resolution rule: explicit requests are
+// honored verbatim, and auto (0) and negatives resolve to the
+// single-threaded search. GOMAXPROCS is forced to 2 so the test also pins
+// that a multi-core machine never turns the root split on implicitly.
 func TestResolveWorkers(t *testing.T) {
-	if got := ResolveWorkers(3, 1); got != 3 {
-		t.Fatalf("explicit request not honored: got %d", got)
-	}
-	if got := ResolveWorkers(1, DefaultParallelTaskThreshold*10); got != 1 {
-		t.Fatalf("explicit 1 not honored: got %d", got)
-	}
-	if got := ResolveWorkers(-1, DefaultParallelTaskThreshold*10); got != 0 {
-		t.Fatalf("negative must force single-threaded: got %d", got)
-	}
-	if got := ResolveWorkers(0, DefaultParallelTaskThreshold-1); got != 0 {
-		t.Fatalf("auto below the task threshold must stay serial: got %d", got)
-	}
-	got := ResolveWorkers(0, DefaultParallelTaskThreshold)
-	switch procs := runtime.GOMAXPROCS(0); {
-	case procs < 2:
-		if got != 0 {
-			t.Fatalf("auto on a single-core machine must stay serial: got %d", got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, requested := range []int{1, 2, 3, 8} {
+		if got := ResolveWorkers(requested); got != requested {
+			t.Fatalf("explicit request %d not honored: got %d", requested, got)
 		}
-	case procs > DefaultMaxAutoWorkers:
-		if got != DefaultMaxAutoWorkers {
-			t.Fatalf("auto must cap at %d: got %d", DefaultMaxAutoWorkers, got)
-		}
-	default:
-		if got != procs {
-			t.Fatalf("auto must use GOMAXPROCS=%d: got %d", procs, got)
+	}
+	for _, requested := range []int{0, -1, -8} {
+		if got := ResolveWorkers(requested); got != 0 {
+			t.Fatalf("ResolveWorkers(%d) = %d, want 0 (single-threaded)", requested, got)
 		}
 	}
 }

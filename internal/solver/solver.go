@@ -155,7 +155,7 @@ type Options struct {
 	// dominance memo is partitioned differently). SatisfyOnly solves are
 	// always single-threaded: they stop at the first feasible schedule, a
 	// race by construction. Use ResolveWorkers to map a caller-facing
-	// "0 = auto" setting to this field by instance size.
+	// setting (0 = sequential) to this field.
 	Workers int
 }
 
